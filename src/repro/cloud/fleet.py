@@ -17,6 +17,7 @@ results invariant to shard and worker count.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,7 @@ class LiveFleet:
         sample_size: int = 200,
         monitoring_retention_s: float | None = None,
     ) -> None:
-        self.spec = FleetSpec(
+        spec = FleetSpec(
             size=size,
             flavor=flavor,
             mean_rps_range=mean_rps_range,
@@ -155,8 +156,25 @@ class LiveFleet:
             sample_size=sample_size,
             monitoring_retention_s=monitoring_retention_s,
         )
+        self._build(spec, range(size))
+
+    @classmethod
+    def from_spec(cls, spec: FleetSpec, indices: Iterable[int]) -> "LiveFleet":
+        """The members *indices* of the fleet *spec* describes (one shard).
+
+        Each member is exactly the one a full fleet would have built at
+        that index (:func:`build_member`).
+        """
+        fleet = cls.__new__(cls)
+        fleet._build(spec, indices)
+        return fleet
+
+    def _build(self, spec: FleetSpec, indices: Iterable[int]) -> None:
+        self.spec = spec
+        #: Fleet index of each entry of :attr:`members`, ascending.
+        self.indices = tuple(sorted(indices))
         self.members: list[FleetMember] = [
-            build_member(self.spec, i) for i in range(size)
+            build_member(spec, i) for i in self.indices
         ]
         self._engine = MemberBatch(
             [m.deployment.service.master for m in self.members]

@@ -26,13 +26,13 @@ broadcast, under both the sequential and the process backend, which is
 why ``--workers N`` is output-invariant.
 
 Wire discipline: the repository snapshot crosses to each shard exactly
-once, at session setup. After window 0 the broadcast carries only
-deltas — fitted knob values and new training samples, both encoded as
-plain float tuples — and the per-member bulk state (each member's knob
-values and delta-metric vector) travels through a shared-memory
-:class:`~repro.parallel.shm.MemberBank` instead of the result pipe;
-steady-state replies name only the members that need tuning. Encoding
-is value-exact (python floats in catalog/metric-name order), so every
+once, at session setup. After that the broadcast carries only deltas —
+fitted knob values and new training samples, both encoded as plain
+float tuples — and a shard replies only for the members that need
+tuning, each as one :class:`MemberOut` whose knob and metric values are
+float tuples too. Traced runs take the same path: every member replies,
+carrying the trace fragment its TDE round recorded. Encoding is
+value-exact (python floats in catalog/metric-name order), so every
 decoded object equals what a direct object transfer would have carried
 and outputs stay byte-identical across worker counts.
 """
@@ -41,21 +41,18 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.cloud.fleet import FleetSpec, build_member
+from repro.cloud.fleet import FleetSpec, LiveFleet
 from repro.common.recording import NULL_RECORDER, Recorder
 from repro.common.rng import stream_root
 from repro.core.tde.engine import ThrottlingDetectionEngine
 from repro.core.tde.throttle import Throttle
-from repro.dbsim.batch_engine import MemberBatch
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobCatalog, postgres_catalog
 from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.experiments.common import offline_train
 from repro.obs.trace import TraceRecorder
 from repro.parallel import FleetExecutor
-from repro.parallel.shm import MemberBank, MemberBankHandle
 from repro.parallel.stats import SessionStats
 from repro.tuners.base import TrainingSample, TuningRequest
 from repro.tuners.ottertune import OtterTuneTuner
@@ -67,8 +64,8 @@ __all__ = ["RequestRatePoint", "Fig09Run", "run"]
 
 # -- compact wire codec -----------------------------------------------------
 #
-# Everything that crosses the pipe after window 0 is built from python
-# floats and strings via these helpers, used identically by both
+# Everything that crosses the pipe after session setup is built from
+# python floats and strings via these helpers, used identically by both
 # backends. Decoding against a same-flavor catalog rebuilds objects that
 # compare equal to (and compute bit-identically with) the originals.
 
@@ -84,12 +81,12 @@ def _metric_values(metrics: MetricsDelta) -> tuple[float, ...]:
 
 
 def _decode_config(
-    catalog: KnobCatalog, values: tuple[float, ...] | list[float]
+    catalog: KnobCatalog, values: tuple[float, ...]
 ) -> KnobConfiguration:
     return KnobConfiguration(catalog, dict(zip(catalog.names(), values)))
 
 
-def _decode_metrics(values: tuple[float, ...] | list[float]) -> MetricsDelta:
+def _decode_metrics(values: tuple[float, ...]) -> MetricsDelta:
     return MetricsDelta(dict(zip(METRIC_NAMES, values)))
 
 
@@ -150,12 +147,8 @@ class _ShardSpec:
     fleet: FleetSpec
     repository: WorkloadRepository
     tde_seed: int
-    window_s: float
     traced: bool = False
     host_time: bool = False
-    #: Shared member-state bank; ``None`` falls back to shipping full
-    #: :class:`MemberWindowOut` objects every window (tests).
-    bank: MemberBankHandle | None = None
 
 
 @dataclass(frozen=True)
@@ -177,37 +170,24 @@ class WindowCommand:
     new_samples: tuple[_WireSample, ...] = ()
 
 
-@dataclass
-class MemberWindowOut:
-    """One member's full window outcome (window 0 and traced runs).
+@dataclass(frozen=True)
+class MemberOut:
+    """One member's window outcome, sent only when the coordinator needs it.
 
-    Window 0 seeds the coordinator's cache of static member facts
-    (instance id, workload name, memory budget); traced runs keep the
-    full form every window because they also carry trace fragments.
+    A shard replies for a member that needs tuning, or for every member
+    of a traced run (then with its trace fragment). Knob and metric
+    values travel in wire form (see the codec above).
     """
 
     index: int
     instance_id: str
     workload_name: str
-    config: Any
-    metrics: Any
-    throttles: list[Throttle]
-    needs_tuning: bool
+    config: tuple[float, ...]
+    metrics: tuple[float, ...]
+    throttles: tuple[Throttle, ...]
     memory_limit_mb: float
     active_connections: int
     fragment: TraceRecorder | None = None
-
-
-@dataclass(frozen=True)
-class MemberTuningOut:
-    """Steady-state reply for one member that needs tuning.
-
-    Members that don't need tuning send nothing — their bulk state (knob
-    values, metric vector) is already in the member bank.
-    """
-
-    index: int
-    throttles: tuple[Throttle, ...]
 
 
 class Fig09ShardWorker:
@@ -221,141 +201,59 @@ class Fig09ShardWorker:
             pickle.dumps(spec.repository)
         )
         self.spec = spec
-        self.indices = tuple(sorted(indices))
-        self.members = {i: build_member(spec.fleet, i) for i in self.indices}
-        self.tdes = {
-            i: ThrottlingDetectionEngine(
+        self.fleet = LiveFleet.from_spec(spec.fleet, indices)
+        self.tdes = [
+            ThrottlingDetectionEngine(
                 member.instance_id,
                 member.deployment.service.master,
                 self.repository,
                 seed=spec.tde_seed + i,
             )
-            for i, member in self.members.items()
-        }
-        self._engine = MemberBatch(
-            [self.members[i].deployment.service.master for i in self.indices]
-        )
-        self._catalog = self.members[self.indices[0]].deployment.service.master.catalog
-        self._bank = spec.bank.attach() if spec.bank is not None else None
-        self._windows = 0
-        self.clock_s = 0.0
+            for i, member in zip(self.fleet.indices, self.fleet.members)
+        ]
+        self._catalog = self.fleet.members[0].deployment.service.master.catalog
 
-    def step(self, command: WindowCommand) -> list[tuple[int, Any]]:
+    def step(self, command: WindowCommand) -> list[tuple[int, MemberOut]]:
         for wire in command.new_samples:
             self.repository.add(_decode_sample(self._catalog, wire))
-        if self.spec.traced:
-            return self._step_traced(command)
-        # Columnar hot path (untraced): apply pending configs in member
-        # order, generate every member's batch, then step the whole shard
-        # through the vectorized engine. Members draw only from their own
-        # keyed substreams, so the phase reordering is draw-exact against
-        # the serial per-member loop.
-        for i in self.indices:
+        for i, member in zip(self.fleet.indices, self.fleet.members):
             fitted = command.apply.get(i)
             if fitted is not None:
-                master = self.members[i].deployment.service.master
+                master = member.deployment.service.master
                 master.apply_config(
                     _decode_config(master.catalog, fitted), mode="reload"
                 )
-        batches = [
-            self.members[i].workload.batch(
-                command.window_s,
-                start_time_s=self.clock_s + self.members[i].phase_offset_s,
-            )
-            for i in self.indices
-        ]
-        results = self._engine.step_window(batches)
-        # Window 0 ships full outs (the coordinator caches the static
-        # member facts); afterwards the bank carries the bulk vectors and
-        # the pipe names only the members that need tuning.
-        compact = self._bank is not None and self._windows > 0
-        outs: list[tuple[int, Any]] = []
-        for i, result in zip(self.indices, results):
-            member = self.members[i]
-            master = member.deployment.service.master
-            member.monitoring.ingest(result)
-            tde = self.tdes[i]
-            tde.recorder = NULL_RECORDER
+        clock_s = self.fleet.clock_s
+        outs: list[tuple[int, MemberOut]] = []
+        stepped = self.fleet.step(command.window_s)
+        for i, tde, (member, result) in zip(self.fleet.indices, self.tdes, stepped):
+            fragment = None
+            if self.spec.traced:
+                # Only the TDE records, so a fragment around its inspect
+                # holds everything this member contributes to the trace.
+                fragment = TraceRecorder(host_time=self.spec.host_time)
+                fragment.advance(clock_s)
+            tde.recorder = fragment if fragment is not None else NULL_RECORDER
             report = tde.inspect(result)
-            if self._bank is not None:
-                self._bank.write(
-                    i,
-                    list(_config_values(result.config)),
-                    list(_metric_values(result.metrics)),
-                )
-            if compact:
-                if report.needs_tuning:
-                    outs.append(
-                        (i, MemberTuningOut(i, tuple(report.throttles)))
-                    )
+            if not (report.needs_tuning or self.spec.traced):
                 continue
-            outs.append(
-                (
-                    i,
-                    MemberWindowOut(
-                        index=i,
-                        instance_id=member.instance_id,
-                        workload_name=result.batch.workload_name,
-                        config=result.config,
-                        metrics=result.metrics,
-                        throttles=list(report.throttles),
-                        needs_tuning=report.needs_tuning,
-                        memory_limit_mb=master.vm.db_memory_limit_mb,
-                        active_connections=master.active_connections,
-                        fragment=None,
-                    ),
-                )
-            )
-        self._windows += 1
-        self.clock_s += command.window_s
-        return outs
-
-    def _step_traced(
-        self, command: WindowCommand
-    ) -> list[tuple[int, MemberWindowOut]]:
-        """Serial per-member loop for traced runs.
-
-        Trace fragments interleave member spans with sim-time advances;
-        the golden-trace digests pin that exact ordering, so traced
-        windows keep the reference loop.
-        """
-        outs: list[tuple[int, MemberWindowOut]] = []
-        for i in self.indices:
-            member = self.members[i]
             master = member.deployment.service.master
-            fitted = command.apply.get(i)
-            if fitted is not None:
-                master.apply_config(
-                    _decode_config(master.catalog, fitted), mode="reload"
-                )
-            tde = self.tdes[i]
-            fragment = TraceRecorder(host_time=self.spec.host_time)
-            fragment.advance(self.clock_s)
-            tde.recorder = fragment
-            batch = member.workload.batch(
-                command.window_s, start_time_s=self.clock_s + member.phase_offset_s
-            )
-            result = member.deployment.service.run(batch)
-            member.monitoring.ingest(result)
-            report = tde.inspect(result)
             outs.append(
                 (
                     i,
-                    MemberWindowOut(
+                    MemberOut(
                         index=i,
                         instance_id=member.instance_id,
                         workload_name=result.batch.workload_name,
-                        config=result.config,
-                        metrics=result.metrics,
-                        throttles=list(report.throttles),
-                        needs_tuning=report.needs_tuning,
+                        config=_config_values(result.config),
+                        metrics=_metric_values(result.metrics),
+                        throttles=tuple(report.throttles),
                         memory_limit_mb=master.vm.db_memory_limit_mb,
                         active_connections=master.active_connections,
                         fragment=fragment,
                     ),
                 )
             )
-        self.clock_s += command.window_s
         return outs
 
 
@@ -448,9 +346,6 @@ def run(
     # simulation tractable while the template/class statistics it feeds
     # stay well-populated (64 queries per 5-minute window per member).
     traced = isinstance(rec, TraceRecorder)
-    bank = MemberBank.create(
-        fleet_size, len(catalog), len(METRIC_NAMES), shared=workers > 1
-    )
     spec = _ShardSpec(
         fleet=FleetSpec(
             size=fleet_size,
@@ -464,10 +359,8 @@ def run(
         ),
         repository=repository,
         tde_seed=seed,
-        window_s=window_s,
         traced=traced,
         host_time=traced and rec.host_time,  # type: ignore[union-attr]
-        bank=bank.handle(),
     )
     executor = FleetExecutor(workers=workers, start_method=start_method)
     if stats is not None:
@@ -481,92 +374,56 @@ def run(
     clock_s = 0.0
     pending: dict[int, tuple[float, ...]] = {}
     delta: list[_WireSample] = []
-    #: Static member facts cached from the window-0 full outs.
-    static: dict[int, tuple[str, str, float, int]] = {}
-    session = executor.fleet_session(_shard_factory, spec, fleet_size, stats=stats)
-    try:
-        with session:
-            for _ in range(windows):
-                now = clock_s - warmup_end
-                rec.advance(clock_s)
-                with rec.span(
-                    "landscape.window", duration_s=window_s, fleet=fleet_size
-                ):
-                    outs = session.step(
-                        WindowCommand(
-                            window_s=window_s,
-                            apply=pending,
-                            new_samples=tuple(delta),
+    with executor.fleet_session(_shard_factory, spec, fleet_size, stats=stats) as session:
+        for _ in range(windows):
+            now = clock_s - warmup_end
+            rec.advance(clock_s)
+            with rec.span("landscape.window", duration_s=window_s, fleet=fleet_size):
+                outs = session.step(
+                    WindowCommand(
+                        window_s=window_s, apply=pending, new_samples=tuple(delta)
+                    )
+                )
+                pending, delta = {}, []
+                for _, out in outs:
+                    if out.fragment is not None:
+                        assert isinstance(rec, TraceRecorder)
+                        rec.absorb(out.fragment)
+                for idx, out in outs:
+                    actionable = [t for t in out.throttles if not t.requires_restart]
+                    if not actionable:
+                        continue
+                    if now >= 0.0:
+                        # The fleet converges during warm-up (floors
+                        # settle, caps get filtered); counting starts
+                        # afterwards, like the paper's long-connected
+                        # deployments.
+                        request_times.append(now)
+                    config = _decode_config(catalog, out.config)
+                    metrics = _decode_metrics(out.metrics)
+                    sample = TrainingSample(out.workload_name, config, metrics, now)
+                    repository.add(sample)
+                    delta.append(_encode_sample(sample))
+                    split = director.handle_tuning_request(
+                        TuningRequest(
+                            out.instance_id,
+                            out.workload_name,
+                            config,
+                            metrics,
+                            throttle_class=actionable[0].knob_class.value,
+                            throttle_knobs=tuple(
+                                sorted({n for t in actionable for n in t.knobs})
+                            ),
+                            timestamp_s=now,
                         )
                     )
-                    pending, delta = {}, []
-                    for _, out in outs:
-                        if isinstance(out, MemberWindowOut):
-                            static[out.index] = (
-                                out.instance_id,
-                                out.workload_name,
-                                out.memory_limit_mb,
-                                out.active_connections,
-                            )
-                            if out.fragment is not None:
-                                assert isinstance(rec, TraceRecorder)
-                                rec.absorb(out.fragment)
-                    for idx, out in outs:
-                        if isinstance(out, MemberWindowOut):
-                            if not out.needs_tuning:
-                                continue
-                            throttles: list[Throttle] = list(out.throttles)
-                            config, metrics = out.config, out.metrics
-                            instance_id = out.instance_id
-                            workload_name = out.workload_name
-                            memory_limit_mb = out.memory_limit_mb
-                            active_connections = out.active_connections
-                        else:
-                            # Steady state: the pipe named the member, the
-                            # bank holds its vectors, the cache its facts.
-                            throttles = list(out.throttles)
-                            (
-                                instance_id,
-                                workload_name,
-                                memory_limit_mb,
-                                active_connections,
-                            ) = static[idx]
-                            config = _decode_config(catalog, bank.config_row(idx))
-                            metrics = _decode_metrics(bank.metrics_row(idx))
-                        if now >= 0.0:
-                            # The fleet converges during warm-up (floors
-                            # settle, caps get filtered); counting starts
-                            # afterwards, like the paper's long-connected
-                            # deployments.
-                            request_times.append(now)
-                        sample = TrainingSample(workload_name, config, metrics, now)
-                        repository.add(sample)
-                        delta.append(_encode_sample(sample))
-                        actionable = [
-                            t for t in throttles if not t.requires_restart
-                        ]
-                        split = director.handle_tuning_request(
-                            TuningRequest(
-                                instance_id,
-                                workload_name,
-                                config,
-                                metrics,
-                                throttle_class=actionable[0].knob_class.value,
-                                throttle_knobs=tuple(
-                                    sorted({n for t in actionable for n in t.knobs})
-                                ),
-                                timestamp_s=now,
-                            )
+                    pending[idx] = _config_values(
+                        split.reloadable.fitted_to_budget(
+                            out.memory_limit_mb, out.active_connections
                         )
-                        pending[idx] = _config_values(
-                            split.reloadable.fitted_to_budget(
-                                memory_limit_mb, active_connections
-                            )
-                        )
-                        director.balancer.drain(window_s)
-                clock_s += window_s
-    finally:
-        bank.close()
+                    )
+                    director.balancer.drain(window_s)
+            clock_s += window_s
     if stats is not None:
         # What the pre-delta protocol would have pickled at the last
         # window: the repository with every ingested sample. The honest

@@ -17,6 +17,14 @@ byte-identical seeded outputs. The pieces:
   in canonical member order, metrics registries folded with
   :meth:`~repro.obs.metrics.MetricsRegistry.merge`, trace fragments
   spliced with :meth:`~repro.obs.trace.TraceRecorder.absorb`.
+- :mod:`~repro.parallel.stats` — per-window byte and phase accounting at
+  the pipe seam.
+
+The worker pipes are the only channel between coordinator and shards:
+a session pickles its setup payload to each shard once, then each
+window sends one command down and gets back one list of
+``(member_index, payload)`` replies, which may name only the members
+the coordinator needs to hear about.
 
 See ``docs/parallelism.md`` for the determinism contract and backend
 selection, and ``tests/integration/test_parallel_parity.py`` for the
@@ -30,14 +38,11 @@ from repro.parallel.executor import (
     partition_members,
 )
 from repro.parallel.reduce import merge_member_outputs, merge_registries
-from repro.parallel.shm import MemberBank, MemberBankHandle
 from repro.parallel.stats import SessionStats, StepStats, render_session_stats
 
 __all__ = [
     "FleetExecutor",
     "FleetSession",
-    "MemberBank",
-    "MemberBankHandle",
     "SessionStats",
     "StepStats",
     "WorkerCrashed",

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments import chaos_recovery, trace_run
 from repro.experiments import fig09_requests_per_minute as fig09
+from repro.obs.trace import TraceRecorder
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
@@ -33,6 +34,19 @@ class TestFig09Parity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_match_serial(self, seed, workers):
         assert _fig09_bytes(seed, workers) == _fig09_bytes(seed, 1)
+
+
+class TestFig09TracedParity:
+    def test_traced_run_matches_untraced(self):
+        # Tracing only observes: the traced shard path (every member
+        # replies, with its fragment) must route exactly as the sparse one.
+        kwargs = dict(fleet_size=3, hours=1.0, warmup_hours=0.5)
+        untraced = fig09.run(**kwargs)
+        recorder = TraceRecorder()
+        traced = fig09.run(**kwargs, recorder=recorder)
+        assert untraced.tde_total > 0
+        assert traced == untraced
+        assert recorder.spans
 
 
 class TestChaosParity:

@@ -1,11 +1,12 @@
 """Delta-only wire discipline of the sharded fig09 protocol.
 
 The repository snapshot crosses to each shard exactly once, at session
-setup. These tests pin the steady-state invariant at the payload level:
-pickle whatever actually crosses the pipe after window 0 and prove it
-contains no repository snapshot (nor any heavyweight object at all), is
-an order of magnitude smaller than re-broadcasting the snapshot, and
-decodes back to value-identical objects.
+setup. These tests pin the invariants at the payload level: pickle
+whatever actually crosses the pipe and prove it contains no repository
+snapshot (nor any heavyweight object at all), that the broadcast is an
+order of magnitude smaller than re-broadcasting the snapshot, that a
+shard replies only for the members that need tuning, and that every
+reply decodes back to value-identical objects.
 """
 
 import pickle
@@ -13,12 +14,10 @@ import pickle
 from repro.cloud.fleet import FleetSpec
 from repro.common.rng import stream_root
 from repro.dbsim.knobs import postgres_catalog
-from repro.dbsim.metrics import METRIC_NAMES
 from repro.experiments.common import offline_train
 from repro.experiments.fig09_requests_per_minute import (
     Fig09ShardWorker,
-    MemberTuningOut,
-    MemberWindowOut,
+    MemberOut,
     WindowCommand,
     _config_values,
     _decode_config,
@@ -27,12 +26,11 @@ from repro.experiments.fig09_requests_per_minute import (
     _encode_sample,
     _ShardSpec,
 )
-from repro.parallel.shm import MemberBank
 from repro.parallel.stats import SessionStats, StepStats, render_session_stats
 from repro.tuners.base import TrainingSample
 from repro.workloads.production import ProductionWorkload
 
-#: Class names that must never appear in a steady-state pipe payload.
+#: Class names that must never appear in a pipe payload.
 _HEAVY_MARKERS = (
     b"WorkloadRepository",
     b"TrainingSample",
@@ -41,6 +39,14 @@ _HEAVY_MARKERS = (
     b"MetricsDelta",
     b"TimeSeries",
 )
+
+#: Knob values under which the members below raise no throttle.
+_QUIET = {
+    "work_mem": 256,
+    "random_page_cost": 1.1,
+    "effective_cache_size": 1024,
+    "shared_buffers": 400,
+}
 
 
 def _make_worker(size: int = 2):
@@ -56,67 +62,105 @@ def _make_worker(size: int = 2):
         n_configs=14,
         seed=91,
     )
-    bank = MemberBank.create(size, len(catalog), len(METRIC_NAMES), shared=False)
     spec = _ShardSpec(
         fleet=FleetSpec(size=size, root=stream_root(0), sample_size=64),
         repository=repository,
         tde_seed=0,
-        window_s=300.0,
-        bank=bank.handle(),
     )
-    return Fig09ShardWorker(spec, tuple(range(size))), bank, catalog, repository
+    return Fig09ShardWorker(spec, tuple(range(size))), catalog, repository
+
+
+def _record_inspections(worker):
+    """Wrap every TDE's inspect; returns ``{member index: (result, report)}``."""
+    seen = {}
+    for i, tde in zip(worker.fleet.indices, worker.tdes):
+        def inspect(result, _i=i, _inspect=tde.inspect):
+            report = _inspect(result)
+            seen[_i] = (result, report)
+            return report
+
+        tde.inspect = inspect
+    return seen
+
+
+def _assert_light(payload: bytes) -> None:
+    for marker in _HEAVY_MARKERS:
+        assert marker not in payload, marker
 
 
 class TestDeltaOnlyBroadcast:
     def test_steady_state_payload_has_no_repository_snapshot(self):
-        worker, bank, catalog, repository = _make_worker()
+        worker, catalog, repository = _make_worker()
         outs0 = worker.step(WindowCommand(window_s=300.0))
-        assert all(isinstance(out, MemberWindowOut) for _, out in outs0)
+        assert outs0, "window 0 raised no tuning request to check"
+        _assert_light(pickle.dumps(outs0))
 
         # The coordinator's steady-state broadcast: one fitted config and
         # one fresh sample, both wire-encoded.
         first = outs0[0][1]
         sample = TrainingSample(
-            first.workload_name, first.config, first.metrics, 0.0
+            first.workload_name,
+            _decode_config(catalog, first.config),
+            _decode_metrics(first.metrics),
+            0.0,
         )
         command = WindowCommand(
             window_s=300.0,
-            apply={0: _config_values(first.config)},
+            apply={0: first.config},
             new_samples=(_encode_sample(sample),),
         )
         payload = pickle.dumps(("step", command))
-        for marker in _HEAVY_MARKERS:
-            assert marker not in payload, marker
+        _assert_light(payload)
 
         snapshot = pickle.dumps(repository)
         assert len(payload) * 10 <= len(snapshot), (
             f"steady-state payload {len(payload)}B is not >=10x smaller "
             f"than the {len(snapshot)}B snapshot broadcast it replaced"
         )
+        _assert_light(pickle.dumps(worker.step(command)))
 
-        outs1 = worker.step(command)
-        reply = pickle.dumps(outs1)
-        for marker in _HEAVY_MARKERS:
-            assert marker not in reply, marker
-        assert all(isinstance(out, MemberTuningOut) for _, out in outs1)
+    def test_untraced_shard_replies_exactly_for_members_needing_tuning(self):
+        worker, _, _ = _make_worker()
+        worker.step(WindowCommand(window_s=300.0))
+        quiet = worker.fleet.members[0].deployment.service.master.config
+        seen = _record_inspections(worker)
+        # Member 0 gets a config under which it raises no throttle;
+        # member 1 keeps the defaults that throttle it.
+        outs = worker.step(
+            WindowCommand(
+                window_s=300.0,
+                apply={0: _config_values(quiet.with_values(_QUIET))},
+            )
+        )
+        needing = [i for i, (_, report) in sorted(seen.items()) if report.needs_tuning]
+        assert needing == [1]
+        assert [i for i, _ in outs] == needing
+        assert all(out.fragment is None for _, out in outs)
 
-    def test_bank_rows_decode_to_live_member_state(self):
-        worker, bank, catalog, _ = _make_worker()
+    def test_replies_decode_to_live_member_state(self):
+        worker, catalog, _ = _make_worker()
         worker.step(WindowCommand(window_s=300.0))
-        worker.step(WindowCommand(window_s=300.0))
-        for i in (0, 1):
-            master = worker.members[i].deployment.service.master
-            decoded = _decode_config(catalog, bank.config_row(i))
-            assert decoded == master.config
-            metrics = _decode_metrics(bank.metrics_row(i))
-            assert set(metrics.values) == set(METRIC_NAMES)
+        seen = _record_inspections(worker)
+        outs = worker.step(WindowCommand(window_s=300.0))
+        assert outs
+        for i, out in outs:
+            assert isinstance(out, MemberOut) and out.index == i
+            master = worker.fleet.members[i].deployment.service.master
+            assert _decode_config(catalog, out.config) == master.config
+            result, report = seen[i]
+            assert _decode_metrics(out.metrics).values == result.metrics.values
+            assert out.throttles == tuple(report.throttles)
+            assert out.workload_name == result.batch.workload_name
+            assert out.memory_limit_mb == master.vm.db_memory_limit_mb
+            assert out.active_connections == master.active_connections
 
     def test_sample_codec_round_trips_exactly(self):
-        worker, _, catalog, _ = _make_worker()
-        outs0 = worker.step(WindowCommand(window_s=300.0))
-        first = outs0[0][1]
+        worker, catalog, _ = _make_worker()
+        seen = _record_inspections(worker)
+        worker.step(WindowCommand(window_s=300.0))
+        result, _ = seen[0]
         sample = TrainingSample(
-            first.workload_name, first.config, first.metrics, 42.0
+            result.batch.workload_name, result.config, result.metrics, 42.0
         )
         decoded = _decode_sample(catalog, _encode_sample(sample))
         assert decoded.workload_id == sample.workload_id
@@ -125,36 +169,6 @@ class TestDeltaOnlyBroadcast:
         assert decoded.timestamp_s == sample.timestamp_s
         # Value-exact means repr-exact: downstream maths sees the same bits.
         assert repr(decoded.metrics) == repr(sample.metrics)
-
-
-class TestMemberBank:
-    def test_shared_block_round_trips_through_handle(self):
-        bank = MemberBank.create(3, 4, 5, shared=True)
-        try:
-            handle = pickle.loads(pickle.dumps(bank.handle()))
-            attached = handle.attach()
-            try:
-                attached.write(1, [1.0, 2.0, 3.0, 4.0], [0.5] * 5)
-                assert bank.config_row(1) == [1.0, 2.0, 3.0, 4.0]
-                assert bank.metrics_row(1) == [0.5] * 5
-                assert bank.config_row(0) == [0.0] * 4
-            finally:
-                attached.close()
-        finally:
-            bank.close()
-
-    def test_plain_bank_handle_is_direct(self):
-        bank = MemberBank.create(2, 3, 3, shared=False)
-        assert bank.handle().attach() is bank
-        bank.close()  # no-op for plain arrays
-
-    def test_dimensions_validated(self):
-        try:
-            MemberBank(0, 1, 1)
-        except ValueError as exc:
-            assert "positive" in str(exc)
-        else:  # pragma: no cover - failure branch
-            raise AssertionError("zero-member bank accepted")
 
 
 class TestSessionStatsRendering:
