@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.workloads.query import Query, QueryFamily, QueryType
+from repro.workloads.query import Query, QueryFamily, QueryType, instantiate_many
 
 __all__ = ["WorkloadBatch", "WorkloadGenerator", "MixWorkload"]
 
@@ -168,24 +168,23 @@ class WorkloadGenerator:
             else np.zeros(len(names), dtype=int)
         )
         count_map = {name: int(c) for name, c in zip(names, counts)}
-        sampled = self._sample_queries(count_map)
-        examples = [
-            self.families[name].instantiate(self._rng)
-            for name, count in count_map.items()
-            if count > 0
-        ]
+        sampled = self._sample_families(count_map)
+        executed = [self.families[n] for n, count in count_map.items() if count > 0]
+        # The sample and the examples are contiguous in the stream: one
+        # bulk draw covers both.
+        queries = instantiate_many(sampled + executed, self._rng)
         return WorkloadBatch(
             workload_name=self.name,
             duration_s=duration_s,
             requested_rps=rate,
             counts=count_map,
             families=dict(self.families),
-            sampled_queries=sampled,
-            family_examples=examples,
+            sampled_queries=queries[: len(sampled)],
+            family_examples=queries[len(sampled) :],
         )
 
-    def _sample_queries(self, counts: dict[str, int]) -> list[Query]:
-        """Materialise up to ``sample_size`` queries ∝ family counts."""
+    def _sample_families(self, counts: dict[str, int]) -> list[QueryFamily]:
+        """Pick the families of up to ``sample_size`` queries ∝ family counts."""
         total = sum(counts.values())
         if total == 0:
             return []
@@ -194,7 +193,7 @@ class WorkloadGenerator:
         probs = np.array([counts[name] for name in names], dtype=float)
         probs /= probs.sum()
         picks = self._rng.choice(len(names), size=n, p=probs)
-        return [self.families[names[i]].instantiate(self._rng) for i in picks]
+        return [self.families[names[i]] for i in picks]
 
 
 class MixWorkload(WorkloadGenerator):

@@ -11,22 +11,58 @@ footprints are what drive throttles: a sort whose ``sort_mb`` exceeds
 Footprint magnitudes for the standard benchmarks follow Fig. 2 of the
 paper (e.g. TPC-C uses ~0.5 MB of working memory; the aggregation queries
 added to the adulterated TPC-C need ~350 MB).
+
+Generators materialise a window's query-log sample with
+:func:`instantiate_many`. Each family draws, in order, one value per
+parameter and then one uniform per positive jitterable footprint field.
+The values are exactly those of the scalar reference
+(``QueryFamily._draw_param`` then ``QueryFootprint.jittered``): an
+``int``/``str`` parameter is ``Generator.integers`` over 999 999 outcomes,
+a ``float`` parameter and each jitter factor one ``Generator.random``
+double. For a ``PCG64`` bit generator the whole sample is decoded from one
+``random_raw`` block instead of four or more numpy calls per query. The
+decoder relies on these numpy behaviours, which the parity and property
+tests pin down:
+
+* a double is the next 64-bit word ``u`` as ``(u >> 11) * 2**-53``;
+* a bounded integer whose range fits 32 bits takes a 32-bit draw: the
+  low half of a fresh word, whose high half is kept in the bit
+  generator's ``has_uint32``/``uinteger`` buffer for the next 32-bit draw
+  (doubles and ``random_raw`` leave that buffer alone);
+* that draw is Lemire's multiply-shift: ``m = w * 999_999``, rejected and
+  redrawn while ``m mod 2**32`` is below ``(2**32 - 999_999) % 999_999``,
+  else ``m >> 32``.
+
+Other bit generators take the same values from scalar ``integers`` and
+``random`` calls.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QueryType", "QueryFootprint", "QueryFamily", "Query"]
+__all__ = ["QueryType", "QueryFootprint", "QueryFamily", "Query", "instantiate_many"]
 
 # The jitter band of ``QueryFootprint.jittered(relative=0.15)``, computed
 # with the same expressions so the constants are bit-identical to what the
-# method derives; ``QueryFamily.instantiate`` inlines the jitter.
+# method derives; ``instantiate_many`` inlines the jitter.
 _JITTER_LO = 1.0 - 0.15
 _JITTER_SPAN = (1.0 + 0.15) - _JITTER_LO
+
+#: Parameter kinds a family may declare; ``int`` and ``str`` take a
+#: bounded 32-bit draw, ``float`` a 64-bit double.
+_PARAM_KINDS = frozenset({"int", "str", "float"})
+#: Outcomes of every bounded parameter draw: ``integers(1, 1_000_000)``
+#: and ``integers(0, 999_999)`` both span 999 999 values.
+_OUTCOMES = 999_999
+#: Lemire rejection bound for ``_OUTCOMES`` (971 590).
+_REJECT_BELOW = (2**32 - _OUTCOMES) % _OUTCOMES
+_LOW32 = 0xFFFFFFFF
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 
 
 class QueryType(enum.Enum):
@@ -201,12 +237,21 @@ class QueryFamily:
     #: jitterable fields, so per-query jitter skips rediscovering which
     #: fields draw.
     _jitter: object = field(default=None, compare=False, repr=False)
+    #: Draw plan in stream order: ``True`` for each bounded 32-bit
+    #: parameter draw (``int``/``str``), ``False`` for each 64-bit double
+    #: (``float`` parameters, then one per positive jitter field).
+    _plan: tuple[bool, ...] = field(default=(), compare=False, repr=False)
+    #: How many entries of ``_plan`` are 32-bit draws.
+    _n32: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.weight < 0:
             raise ValueError("weight must be >= 0")
         if not self.name:
             raise ValueError("family name must be non-empty")
+        for kind in self.param_spec:
+            if kind not in _PARAM_KINDS:
+                raise ValueError(f"unknown param kind {kind!r}")
         # Late import: templating imports Query from this module.
         from repro.workloads.templating import family_template_info
 
@@ -222,88 +267,27 @@ class QueryFamily:
         base = (fp.sort_mb, fp.maintenance_mb, fp.temp_mb, fp.read_kb, fp.write_kb)
         positives = tuple(i for i, v in enumerate(base) if v > 0.0)
         set_(self, "_jitter", (positives, base))
+        plan = tuple(kind != "float" for kind in self.param_spec)
+        plan += (False,) * len(positives)
+        set_(self, "_plan", plan)
+        set_(self, "_n32", sum(plan))
 
     def instantiate(self, rng: np.random.Generator) -> "Query":
         """Materialise one query with concrete parameters and jitter.
 
-        This is the per-query hot path: parameter dispatch is inlined
-        (matching ``_draw_param`` draw-for-draw), the text comes from one
-        join over the precomputed template segments, the footprint jitter
-        follows the plan computed at construction (bit-identical to
-        ``QueryFootprint.jittered``), and both result objects bypass the
-        dataclass constructors — the values are already validated.
+        Equal to ``instantiate_many([self], rng)[0]``: the parameters and
+        footprint jitter are the values ``_draw_param`` and
+        ``QueryFootprint.jittered`` draw, and *rng* ends in the same state.
         """
-        rendered: list[str] = []
-        for kind in self.param_spec:
-            if kind == "int":
-                piece = str(int(rng.integers(1, 1_000_000)))
-            elif kind == "str":
-                piece = "'v{:06d}'".format(int(rng.integers(0, 999_999)))
-            elif kind == "float":
-                piece = str(round(10_000.0 * rng.random(), 2))
-            else:
-                piece = str(self._draw_param(kind, rng))
-            rendered.append(piece)
-        parts = self._parts
-        if parts is None:
-            text = self.template
-            for piece in rendered:
-                text = text.replace("%s", piece, 1)
-        elif rendered:
-            chunks = [parts[0]]
-            for i, piece in enumerate(rendered):
-                chunks.append(piece)
-                chunks.append(parts[i + 1])
-            text = "".join(chunks)
-        else:
-            text = self.template
-
-        positives, base = self._jitter
-        vals = list(base)
-        k = len(positives)
-        if k:
-            draws = rng.random(size=k).tolist()
-            for j in range(k):
-                i = positives[j]
-                vals[i] = vals[i] * (_JITTER_LO + _JITTER_SPAN * draws[j])
-        fp = self.footprint
-        set_ = object.__setattr__
-        clone = object.__new__(QueryFootprint)
-        set_(clone, "rows_examined", fp.rows_examined)
-        set_(clone, "rows_returned", fp.rows_returned)
-        set_(clone, "sort_mb", vals[0])
-        set_(clone, "maintenance_mb", vals[1])
-        set_(clone, "temp_mb", vals[2])
-        set_(clone, "read_kb", vals[3])
-        set_(clone, "write_kb", vals[4])
-        set_(clone, "parallel_fraction", fp.parallel_fraction)
-        set_(clone, "planner_sensitivity", fp.planner_sensitivity)
-
-        info = self._template_info
-        if info is None:
-            template = ""
-            extracted: tuple[str, ...] = ()
-        elif rendered:
-            template = info.template
-            extracted = tuple(
-                [s if type(s) is str else rendered[s] for s in info.slots]
-            )
-        else:
-            # No parameters: the extraction is the constant static slots.
-            template = info.template
-            extracted = info.slots
-
-        query = object.__new__(Query)
-        set_(query, "family", self.name)
-        set_(query, "query_type", self.query_type)
-        set_(query, "text", text)
-        set_(query, "footprint", clone)
-        set_(query, "template", template)
-        set_(query, "params", extracted)
-        return query
+        return instantiate_many([self], rng)[0]
 
     @staticmethod
     def _draw_param(kind: str, rng: np.random.Generator) -> object:
+        """One parameter by scalar draw: the distribution reference.
+
+        :func:`instantiate_many` reproduces these values draw for draw;
+        the parity tests use this as their oracle.
+        """
         if kind == "int":
             return int(rng.integers(1, 1_000_000))
         if kind == "str":
@@ -334,3 +318,219 @@ class Query:
     @property
     def is_write(self) -> bool:
         return self.query_type.is_write
+
+
+def instantiate_many(
+    families: Sequence[QueryFamily], rng: np.random.Generator
+) -> list[Query]:
+    """Materialise one query per family, in order, from *rng*'s stream.
+
+    Returns what calling ``family.instantiate(rng)`` for each family in
+    turn returns, and leaves *rng* in the same state. The draws come first
+    (one ``random_raw`` block for ``PCG64``, see the module docstring;
+    scalar calls otherwise); one loop then renders every query: the text
+    is one join over the precomputed template segments, the template
+    parameters are picked from the rendered pieces, the footprint jitter
+    follows the family's plan (bit-identical to
+    ``QueryFootprint.jittered``), and both result objects bypass the
+    dataclass constructors because the values are already validated.
+    """
+    if not families:
+        return []
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is np.random.PCG64:
+        ints, doubles = _pcg64_draws(families, bit_generator)
+    else:
+        ints, doubles = _scalar_draws(families, rng)
+
+    queries: list[Query] = []
+    new = object.__new__
+    (
+        set_rows_examined,
+        set_rows_returned,
+        set_sort_mb,
+        set_maintenance_mb,
+        set_temp_mb,
+        set_read_kb,
+        set_write_kb,
+        set_parallel_fraction,
+        set_planner_sensitivity,
+    ) = _FOOTPRINT_SETTERS
+    set_family, set_type, set_text, set_footprint, set_template, set_params = (
+        _QUERY_SETTERS
+    )
+    i = d = 0
+    for fam in families:
+        rendered: list[str] = []
+        for kind in fam.param_spec:
+            if kind == "float":
+                rendered.append(str(round(10_000.0 * doubles[d], 2)))
+                d += 1
+            elif kind == "int":
+                rendered.append(str(ints[i] + 1))
+                i += 1
+            else:
+                rendered.append("'v%06d'" % ints[i])
+                i += 1
+        parts = fam._parts
+        if parts is None:
+            text = fam.template
+            for piece in rendered:
+                text = text.replace("%s", piece, 1)
+        elif rendered:
+            chunks = [parts[0]]
+            for j, piece in enumerate(rendered):
+                chunks.append(piece)
+                chunks.append(parts[j + 1])
+            text = "".join(chunks)
+        else:
+            text = fam.template
+
+        positives, base = fam._jitter
+        vals = list(base)
+        for j in positives:
+            vals[j] = vals[j] * (_JITTER_LO + _JITTER_SPAN * doubles[d])
+            d += 1
+        fp = fam.footprint
+        clone = new(QueryFootprint)
+        set_rows_examined(clone, fp.rows_examined)
+        set_rows_returned(clone, fp.rows_returned)
+        set_sort_mb(clone, vals[0])
+        set_maintenance_mb(clone, vals[1])
+        set_temp_mb(clone, vals[2])
+        set_read_kb(clone, vals[3])
+        set_write_kb(clone, vals[4])
+        set_parallel_fraction(clone, fp.parallel_fraction)
+        set_planner_sensitivity(clone, fp.planner_sensitivity)
+
+        info = fam._template_info
+        if info is None:
+            template = ""
+            extracted: tuple[str, ...] = ()
+        elif rendered:
+            template = info.template
+            extracted = tuple(
+                [s if type(s) is str else rendered[s] for s in info.slots]
+            )
+        else:
+            # No parameters: the extraction is the constant static slots.
+            template = info.template
+            extracted = info.slots
+
+        query = new(Query)
+        set_family(query, fam.name)
+        set_type(query, fam.query_type)
+        set_text(query, text)
+        set_footprint(query, clone)
+        set_template(query, template)
+        set_params(query, extracted)
+        queries.append(query)
+    return queries
+
+
+# Slot setters of the two result classes, in field order. Calling a slot
+# descriptor directly skips the frozen ``__setattr__`` guard the way
+# ``object.__setattr__`` does, at half the cost per field.
+_FOOTPRINT_SETTERS = tuple(
+    getattr(QueryFootprint, name).__set__ for name in QueryFootprint.__slots__
+)
+_QUERY_SETTERS = tuple(getattr(Query, name).__set__ for name in Query.__slots__)
+
+
+def _scalar_draws(
+    families: Sequence[QueryFamily], rng: np.random.Generator
+) -> tuple[list[int], list[float]]:
+    """The families' draws by scalar ``integers``/``random`` calls.
+
+    Bounded values are returned as drawn over ``[0, 999_999)``; the
+    renderer adds one for ``int`` parameters.
+    """
+    ints: list[int] = []
+    doubles: list[float] = []
+    for fam in families:
+        for bounded in fam._plan:
+            if bounded:
+                ints.append(int(rng.integers(0, _OUTCOMES)))
+            else:
+                doubles.append(rng.random())
+    return ints, doubles
+
+
+def _pcg64_draws(
+    families: Sequence[QueryFamily], bit_generator: np.random.PCG64
+) -> tuple[list[int], list[float]]:
+    """The families' draws decoded from one raw ``PCG64`` block.
+
+    Pulls the fewest words the draws can need (no Lemire rejections), and
+    one more word at a time, re-decoding, in the rare case rejections run
+    the block short; every pulled word is consumed, so the bit generator
+    ends where the scalar calls would leave it. The 32-bit buffer is then
+    written back.
+    """
+    n32 = n64 = 0
+    for fam in families:
+        n32 += fam._n32
+        n64 += len(fam._plan) - fam._n32
+    state = bit_generator.state
+    has = bool(state["has_uint32"])
+    entry = state["uinteger"]
+    raw = bit_generator.random_raw(n64 + (max(n32 - has, 0) + 1) // 2)
+    decoded = _decode(families, raw, has, entry)
+    while decoded is None:
+        raw = np.append(raw, bit_generator.random_raw(1))
+        decoded = _decode(families, raw, has, entry)
+    ints, doubles, has_after, buffered = decoded
+    if has_after != has or buffered != entry:
+        state = bit_generator.state
+        state["has_uint32"] = int(has_after)
+        state["uinteger"] = buffered
+        bit_generator.state = state
+    return ints, doubles
+
+
+def _decode(
+    families: Sequence[QueryFamily], raw: np.ndarray, has: bool, entry: int
+) -> tuple[list[int], list[float], bool, int] | None:
+    """Replay numpy's draw order over *raw*; ``None`` if it runs short.
+
+    *has*/*entry* are the bit generator's 32-bit buffer on entry. Returns
+    the bounded values, the doubles, and the buffer afterwards.
+    """
+    # Every 32-bit half in stream order: the entry buffer, then each
+    # word's low and high half. Decoded in bulk; the loop only picks.
+    halves = np.empty(2 * raw.size + 1, dtype=np.uint64)
+    halves[0] = entry
+    halves[1::2] = raw & _LOW32
+    halves[2::2] = raw >> 32
+    scaled = halves * _OUTCOMES
+    bounded = (scaled >> 32).tolist()
+    accept = ((scaled & _LOW32) >= _REJECT_BELOW).tolist()
+    unit = ((raw >> 11) * _DOUBLE_SCALE).tolist()
+    words = raw.size
+    ints: list[int] = []
+    doubles: list[float] = []
+    p = 0  # next unread word
+    b = 0  # half index of the buffered 32-bit value
+    for fam in families:
+        for is_bounded in fam._plan:
+            if not is_bounded:
+                if p == words:
+                    return None
+                doubles.append(unit[p])
+                p += 1
+                continue
+            while True:
+                if has:
+                    h = b
+                    has = False
+                elif p < words:
+                    h = 2 * p + 1
+                    b = h + 1
+                    has = True
+                    p += 1
+                else:
+                    return None
+                if accept[h]:
+                    break
+            ints.append(bounded[h])
+    return ints, doubles, has, int(halves[b])

@@ -121,7 +121,7 @@ def family_template_info(
         for index, kind in enumerate(param_spec):
             sentinel = _sentinel(kind, index, salt)
             if sentinel is None:
-                # Unknown kind: leave rejection to ``instantiate``.
+                # Unknown kind: ``QueryFamily`` rejects it when built.
                 return None
             rendered.append(sentinel)
             text = text.replace("%s", sentinel, 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.random import MT19937, Philox
 
 from repro.common.timeseries import TimeSeries
 from repro.dbsim import SimulatedDatabase
@@ -32,9 +33,21 @@ from repro.tuners.lasso import (
 )
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.tuners.workload_mapping import WorkloadMapper
-from repro.workloads.query import QueryFamily, QueryFootprint, QueryType
+from repro.workloads.query import (
+    QueryFamily,
+    QueryFootprint,
+    QueryType,
+    instantiate_many,
+)
 
-from tests.conftest import make_samples
+from tests.conftest import (
+    EDGE_FAMILIES,
+    generator_families,
+    make_samples,
+    reference_instantiate,
+    rejecting_seeds,
+    rng_state,
+)
 
 
 # -- refresh policy ------------------------------------------------------------
@@ -321,16 +334,24 @@ class TestBatchedRepairParity:
 
 
 class TestInstantiateParity:
-    @staticmethod
-    def _reference(family: QueryFamily, rng: np.random.Generator):
-        """The seed's scalar instantiation: replace loop + jittered()."""
-        text = family.template
-        params = []
-        for kind in family.param_spec:
-            piece = str(QueryFamily._draw_param(kind, rng))
-            params.append(piece)
-            text = text.replace("%s", piece, 1)
-        return text, family.footprint.jittered(rng)
+    """``instantiate_many`` against the one-call-per-draw scalar oracle."""
+
+    _reference = staticmethod(reference_instantiate)
+
+    def _assert_matches(self, families, make_rng, prior_draws: int = 0):
+        fast, ref = make_rng(), make_rng()
+        for rng in (fast, ref):
+            for _ in range(prior_draws):
+                rng.integers(0, 10)
+        got = instantiate_many(families, fast)
+        want = [self._reference(family, ref) for family in families]
+        assert got == want
+        assert [q.text for q in got] == [q.text for q in want]
+        # The bulk path must leave the identical stream position and
+        # 32-bit buffer behind: the next bounded draw and double agree.
+        assert rng_state(fast) == rng_state(ref)
+        assert fast.integers(0, 999_999) == ref.integers(0, 999_999)
+        assert fast.random() == ref.random()
 
     @pytest.mark.parametrize(
         "template,spec",
@@ -351,26 +372,57 @@ class TestInstantiateParity:
             param_spec=spec,
         )
         for seed in range(20):
-            fast_rng = np.random.default_rng(seed)
-            ref_rng = np.random.default_rng(seed)
-            query = family.instantiate(fast_rng)
-            text, footprint = self._reference(family, ref_rng)
-            assert query.text == text
-            assert query.footprint == footprint
-            # The fast path must consume the identical RNG stream.
-            assert (
-                fast_rng.bit_generator.state == ref_rng.bit_generator.state
+            self._assert_matches([family], lambda: np.random.default_rng(seed))
+            self._assert_matches([family], lambda: np.random.default_rng(seed), 1)
+
+    def test_edge_families_match(self):
+        for family in EDGE_FAMILIES:
+            for seed in range(20):
+                self._assert_matches([family], lambda: np.random.default_rng(seed))
+
+    def test_real_workload_families(self):
+        # ``instantiate`` is the one-family bulk call.
+        for family in generator_families() + EDGE_FAMILIES:
+            fast, ref = np.random.default_rng(13), np.random.default_rng(13)
+            assert family.instantiate(fast) == self._reference(family, ref)
+            assert fast.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("prior_draws", [0, 1, 2, 3])
+    def test_every_generator_family(self, prior_draws):
+        families = generator_families()
+        for seed in range(12):
+            order = np.random.default_rng(1000 + seed).permutation(len(families))
+            self._assert_matches(
+                [families[i] for i in order],
+                lambda: np.random.default_rng(seed),
+                prior_draws,
             )
 
-    def test_real_workload_families(self, tpcc):
-        for family in tpcc.families.values():
-            fast_rng = np.random.default_rng(13)
-            ref_rng = np.random.default_rng(13)
-            query = family.instantiate(fast_rng)
-            text, footprint = self._reference(family, ref_rng)
-            assert query.text == text
-            assert query.footprint == footprint
-            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    def test_empty_list(self):
+        self._assert_matches([], lambda: np.random.default_rng(5))
+        self._assert_matches([], lambda: np.random.default_rng(5), prior_draws=1)
+
+    def test_rejected_first_draw(self):
+        families = generator_families() + EDGE_FAMILIES
+        for seed in rejecting_seeds(4):
+            for prior_draws in (0, 1):
+                for family in families:
+                    self._assert_matches(
+                        [family], lambda: np.random.default_rng(seed), prior_draws
+                    )
+                self._assert_matches(
+                    families, lambda: np.random.default_rng(seed), prior_draws
+                )
+
+    @pytest.mark.parametrize("bit_generator", [MT19937, Philox])
+    def test_other_bit_generators(self, bit_generator):
+        families = generator_families() + EDGE_FAMILIES
+        for prior_draws in (0, 1):
+            self._assert_matches(
+                families,
+                lambda: np.random.Generator(bit_generator(0)),
+                prior_draws,
+            )
 
     def test_precomputed_template_matches_text(self, tpcc):
         from repro.workloads.templating import make_template
